@@ -1,16 +1,17 @@
 """Gated, selective rebaseline helper for ``BENCH_*.json`` trajectories.
 
-The perf-smoke benchmarks write their trajectory files straight to the
-repository root — the same files the CI gate treats as the committed
-baselines.  A casual local ``pytest -m perf_smoke`` therefore leaves a
-possibly-noisy re-run sitting in the working tree, one ``git add`` away
-from silently ratcheting the regression gate (a committed noisy baseline
-raises the allowed overhead for every future nightly run).
+The perf-smoke benchmarks write their trajectory files to a pytest temp
+directory unless ``REPRO_BENCH_OUT`` names another one (see
+``benchmarks/conftest.py``), so a casual local ``pytest`` run never leaves a
+possibly-noisy re-run in the working tree, one ``git add`` away from
+silently ratcheting the regression gate (a committed noisy baseline raises
+the allowed overhead for every future nightly run).
 
-This tool makes rebaselining deliberate:
+This tool is the deliberate way to rebaseline:
 
 * it snapshots the HEAD-committed version of every trajectory file,
-* regenerates them (``pytest -m perf_smoke``, skipped with ``--no-run``),
+* regenerates them at the repository root (``pytest -m perf_smoke`` with
+  ``REPRO_BENCH_OUT=.``, skipped with ``--no-run``),
 * gates the fresh files against the committed ones with the same
   comparator CI uses (``check_trajectory.compare_metrics``,
   machine-independent metrics by default), and
@@ -206,6 +207,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             if env.get("PYTHONPATH"):
                 parts.append(env["PYTHONPATH"])
             env["PYTHONPATH"] = os.pathsep.join(parts)
+            env["REPRO_BENCH_OUT"] = "."
             proc = subprocess.run(
                 [sys.executable, "-m", "pytest", "-m", args.marker, "-q"],
                 cwd=repo_root, env=env,

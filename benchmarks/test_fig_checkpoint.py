@@ -9,12 +9,11 @@ no-checkpoint baseline and two synchronous contrasts (the lazy snapshot with
 a blocking commit, and the classic read-everything copy-out checkpoint), and
 verifies that every committed version restores to bitwise-identical state.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_checkpoint.json`` at the
-repository root with the per-step trajectories and overhead percentages.
+Marked ``perf_smoke``; each run refreshes ``BENCH_checkpoint.json`` in the
+output directory with the per-step trajectories and overhead percentages.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -22,11 +21,11 @@ from repro.bench.experiments import checkpoint_overhead_comparison
 from repro.bench.harness import trajectory_payload
 
 #: Trajectory file consumed by later PRs to compare checkpoint overhead.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_checkpoint.json"
+TRAJECTORY_NAME = "BENCH_checkpoint.json"
 
 
 @pytest.mark.perf_smoke
-def test_async_checkpoint_overhead_under_ten_percent(tmp_path, show):
+def test_async_checkpoint_overhead_under_ten_percent(tmp_path, show, trajectory_path):
     result = checkpoint_overhead_comparison(workdir=tmp_path)
     show(result)
 
@@ -58,7 +57,7 @@ def test_async_checkpoint_overhead_under_ten_percent(tmp_path, show):
 
     restore_rows = [row for row in result.rows if row.get("series") == "restore"]
     assert restore_rows, "no restore latencies were recorded"
-    TRAJECTORY_PATH.write_text(
+    trajectory_path(TRAJECTORY_NAME).write_text(
         json.dumps(
             trajectory_payload(
                 result,

@@ -1,6 +1,6 @@
 """Compressed delta checkpointing + streaming hard-link restore benchmark.
 
-The PR-4 claims, pinned: byte-shuffle + LZ4-class block compression cuts the
+The PR-4 claims, pinned: byte-shuffle + run-length DEFLATE cuts the
 bytes a checkpoint writes by >= 2x on the standard (sparse-gradient,
 mixed-precision) workload at <= 10% added median step time over the raw
 async writer; the null codec isolates framing cost (~zero); and the
@@ -8,13 +8,12 @@ streaming restore — hard links for clean subgroups, lazy streamed residue —
 restores a mostly-clean checkpoint >= 5x faster than the eager read-and-
 re-flush restore, with resume bitwise-identical in both modes.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_ckpt_compression.json`` at
-the repository root with the byte accounting, per-step trajectories and
+Marked ``perf_smoke``; each run refreshes ``BENCH_ckpt_compression.json`` in
+the output directory with the byte accounting, per-step trajectories and
 restore latencies.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -22,11 +21,11 @@ from repro.bench.experiments import checkpoint_compression_comparison
 from repro.bench.harness import trajectory_payload
 
 #: Trajectory file consumed by later PRs to compare checkpoint compression.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_ckpt_compression.json"
+TRAJECTORY_NAME = "BENCH_ckpt_compression.json"
 
 
 @pytest.mark.perf_smoke
-def test_compression_halves_bytes_and_hardlink_restore_is_fast(tmp_path, show):
+def test_compression_halves_bytes_and_hardlink_restore_is_fast(tmp_path, show, trajectory_path):
     result = checkpoint_compression_comparison(workdir=tmp_path)
     show(result)
 
@@ -59,7 +58,7 @@ def test_compression_halves_bytes_and_hardlink_restore_is_fast(tmp_path, show):
         f"hard-link/lazy restore only {check['restore_speedup']:.1f}x faster than eager (< 5x)"
     )
 
-    TRAJECTORY_PATH.write_text(
+    trajectory_path(TRAJECTORY_NAME).write_text(
         json.dumps(
             trajectory_payload(
                 result,

@@ -13,23 +13,22 @@ Backend wall-clock numbers are recorded but deliberately *ungated*: which
 raw path wins is machine- and filesystem-specific, so the trajectory gate
 must not encode one machine's verdict.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_io_backend.json`` at the
-repository root.
+Marked ``perf_smoke``; each run refreshes ``BENCH_io_backend.json`` in the
+output directory.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import io_backend_codec_comparison
 
 #: Trajectory file consumed by later PRs to compare backend/codec behaviour.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_io_backend.json"
+TRAJECTORY_NAME = "BENCH_io_backend.json"
 
 
 @pytest.mark.perf_smoke
-def test_backends_are_bitwise_identical_and_codecs_compress(tmp_path, show):
+def test_backends_are_bitwise_identical_and_codecs_compress(tmp_path, show, trajectory_path):
     result = io_backend_codec_comparison(workdir=tmp_path)
     show(result)
 
@@ -65,4 +64,6 @@ def test_backends_are_bitwise_identical_and_codecs_compress(tmp_path, show):
         "codec_compression": ratios,
         "trajectory": [row for row in result.rows if row.get("series") == "trajectory"],
     }
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
+    trajectory_path(TRAJECTORY_NAME).write_text(
+        json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
+    )

@@ -8,23 +8,22 @@ a wedge).  Both headline ratios are higher-is-better and gated by
 ``check_trajectory.py`` against ``BENCH_io_faults.json``.
 
 Marked ``perf_smoke`` so that ``pytest -m perf_smoke`` gives future PRs a
-fast perf trajectory; each run refreshes ``BENCH_io_faults.json`` at the
-repository root.
+fast perf trajectory; each run refreshes ``BENCH_io_faults.json`` in the
+output directory.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import io_fault_resilience_comparison
 
 #: Trajectory file consumed by later PRs to compare fault-path performance.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_io_faults.json"
+TRAJECTORY_NAME = "BENCH_io_faults.json"
 
 
 @pytest.mark.perf_smoke
-def test_fault_tolerance_is_cheap_and_degrades_gracefully(tmp_path, show):
+def test_fault_tolerance_is_cheap_and_degrades_gracefully(tmp_path, show, trajectory_path):
     result = io_fault_resilience_comparison(workdir=tmp_path)
     show(result)
 
@@ -77,4 +76,6 @@ def test_fault_tolerance_is_cheap_and_degrades_gracefully(tmp_path, show):
         },
         "trajectory": [row for row in result.rows if row.get("series") == "trajectory"],
     }
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
+    trajectory_path(TRAJECTORY_NAME).write_text(
+        json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
+    )

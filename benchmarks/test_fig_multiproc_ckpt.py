@@ -6,13 +6,12 @@ election lock and torn-commit discard all work across process boundaries —
 and a SIGKILLed job restarts bitwise from one consistent global cut, even
 when it resumes under a *different* world size.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_multiproc_ckpt.json`` at
-the repository root with the step trajectories of both worlds, the
+Marked ``perf_smoke``; each run refreshes ``BENCH_multiproc_ckpt.json`` in
+the output directory with the step trajectories of both worlds, the
 real-process overhead and the kill-recovery / elastic-restore latencies.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +19,11 @@ from repro.bench.experiments import multiproc_checkpoint_comparison
 from repro.bench.harness import trajectory_payload
 
 #: Trajectory file consumed by later PRs to track real-process coordination.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_multiproc_ckpt.json"
+TRAJECTORY_NAME = "BENCH_multiproc_ckpt.json"
 
 
 @pytest.mark.perf_smoke
-def test_real_process_ranks_recover_bitwise(tmp_path, show):
+def test_real_process_ranks_recover_bitwise(tmp_path, show, trajectory_path):
     result = multiproc_checkpoint_comparison(workdir=tmp_path)
     show(result)
 
@@ -45,7 +44,7 @@ def test_real_process_ranks_recover_bitwise(tmp_path, show):
     assert recovery["elastic"]["world_to"] < recovery["elastic"]["world_from"]
 
     summary = result.row_for(series="summary", mode="real_process")
-    TRAJECTORY_PATH.write_text(
+    trajectory_path(TRAJECTORY_NAME).write_text(
         json.dumps(
             trajectory_payload(
                 result,

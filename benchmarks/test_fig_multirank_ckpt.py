@@ -6,13 +6,12 @@ per version — all on drain threads — so coordinated checkpointing stays
 within a few percent of independent per-worker commits, while a torn commit
 (ranks dying mid-checkpoint) always restarts from one consistent global cut.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_multirank_ckpt.json`` at
-the repository root with the two-rank step trajectories, the coordination
+Marked ``perf_smoke``; each run refreshes ``BENCH_multirank_ckpt.json`` in
+the output directory with the two-rank step trajectories, the coordination
 overhead and the torn-commit recovery latencies.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +19,11 @@ from repro.bench.experiments import multirank_checkpoint_comparison
 from repro.bench.harness import trajectory_payload
 
 #: Trajectory file consumed by later PRs to compare coordination overhead.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_multirank_ckpt.json"
+TRAJECTORY_NAME = "BENCH_multirank_ckpt.json"
 
 
 @pytest.mark.perf_smoke
-def test_global_commit_overhead_under_ten_percent(tmp_path, show):
+def test_global_commit_overhead_under_ten_percent(tmp_path, show, trajectory_path):
     result = multirank_checkpoint_comparison(workdir=tmp_path)
     show(result)
 
@@ -47,7 +46,7 @@ def test_global_commit_overhead_under_ten_percent(tmp_path, show):
         "ranks restarted from different versions — a mixed cut"
     )
 
-    TRAJECTORY_PATH.write_text(
+    trajectory_path(TRAJECTORY_NAME).write_text(
         json.dumps(
             trajectory_payload(
                 result,

@@ -7,13 +7,12 @@ state uploads almost nothing thanks to the CAS missing-set negotiation, and
 a cold remote restore — empty local directory, everything over HTTP — is a
 small constant factor over the local restore while staying bitwise exact.
 
-Marked ``perf_smoke``; each run refreshes ``BENCH_registry.json`` at the
-repository root with the step trajectories, the dedup ratio and both
+Marked ``perf_smoke``; each run refreshes ``BENCH_registry.json`` in the
+output directory with the step trajectories, the dedup ratio and both
 restore latencies, gated by ``benchmarks/check_trajectory.py``.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -21,11 +20,11 @@ from repro.bench.experiments import registry_push_restore_comparison
 from repro.bench.harness import trajectory_payload
 
 #: Trajectory file consumed by later PRs to track registry cost regressions.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_registry.json"
+TRAJECTORY_NAME = "BENCH_registry.json"
 
 
 @pytest.mark.perf_smoke
-def test_registry_dedup_overhead_and_cold_restore(tmp_path, show):
+def test_registry_dedup_overhead_and_cold_restore(tmp_path, show, trajectory_path):
     result = registry_push_restore_comparison(workdir=tmp_path)
     show(result)
 
@@ -45,7 +44,7 @@ def test_registry_dedup_overhead_and_cold_restore(tmp_path, show):
         restore["local"]["seconds"] * 50, 5.0
     ), restore
 
-    TRAJECTORY_PATH.write_text(
+    trajectory_path(TRAJECTORY_NAME).write_text(
         json.dumps(
             trajectory_payload(
                 result,

@@ -10,24 +10,23 @@ timeline, so the asserted speedup measures genuine multi-path aggregation,
 not bandwidth multiplication.
 
 Marked ``perf_smoke`` so that ``pytest -m perf_smoke`` gives future PRs a
-fast perf trajectory; each run refreshes ``BENCH_striped_reads.json`` at the
-repository root with the measured per-iteration wall times and the per-path
+fast perf trajectory; each run refreshes ``BENCH_striped_reads.json`` in the
+output directory with the measured per-iteration wall times and the per-path
 byte accounting.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import striped_read_comparison
 
 #: Trajectory file consumed by later PRs to compare striped-read performance.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_striped_reads.json"
+TRAJECTORY_NAME = "BENCH_striped_reads.json"
 
 
 @pytest.mark.perf_smoke
-def test_striped_reads_beat_single_path(tmp_path, show):
+def test_striped_reads_beat_single_path(tmp_path, show, trajectory_path):
     result = striped_read_comparison(workdir=tmp_path)
     show(result)
 
@@ -77,4 +76,6 @@ def test_striped_reads_beat_single_path(tmp_path, show):
         },
         "trajectory": [row for row in result.rows if row.get("series") == "trajectory"],
     }
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
+    trajectory_path(TRAJECTORY_NAME).write_text(
+        json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
+    )

@@ -10,22 +10,21 @@ real overlap, not bandwidth multiplication.
 
 Marked ``perf_smoke`` so that ``pytest -m perf_smoke`` gives future PRs a
 fast (<30 s) perf trajectory; each run refreshes ``BENCH_update_pipeline.json``
-at the repository root with the measured per-iteration wall times.
+in the output directory with the measured per-iteration wall times.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench.experiments import update_pipeline_comparison
 
 #: Trajectory file consumed by later PRs to compare update-phase performance.
-TRAJECTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_update_pipeline.json"
+TRAJECTORY_NAME = "BENCH_update_pipeline.json"
 
 
 @pytest.mark.perf_smoke
-def test_pipelined_update_beats_sequential(tmp_path, show):
+def test_pipelined_update_beats_sequential(tmp_path, show, trajectory_path):
     result = update_pipeline_comparison(workdir=tmp_path)
     show(result)
 
@@ -51,4 +50,6 @@ def test_pipelined_update_beats_sequential(tmp_path, show):
         "pool": {k: pool[k] for k in ("hits", "misses", "hit_rate")},
         "trajectory": [row for row in result.rows if row.get("series") == "trajectory"],
     }
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
+    trajectory_path(TRAJECTORY_NAME).write_text(
+        json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
+    )

@@ -1550,7 +1550,7 @@ def checkpoint_compression_comparison(
 
     * ``raw`` — staged blobs stored as plain tier blobs (PR 3's writer);
     * ``null`` — chunked frames with identity chunks (framing-cost ablation);
-    * ``shuffle-deflate`` — byte-shuffle + LZ4-class block compression.
+    * ``shuffle-deflate`` — byte-shuffle + run-length DEFLATE.
 
     Every run checkpoints every iteration (async, the final drain waited
     in-loop), so the per-step trajectories expose what encoding on the drain

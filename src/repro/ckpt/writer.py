@@ -20,7 +20,7 @@ caller's thread — the "stall" the benchmark measures for the sync mode):
 are checksummed, striped across the checkpoint stores when large
 (:func:`repro.tiers.spec.plan_stripes` — the same extent math the striped
 tier reads use), encoded through the configured codec
-(:mod:`repro.codec`: byte-shuffle + LZ4-class DEFLATE by default; content
+(:mod:`repro.codec`: byte-shuffle + run-length DEFLATE by default; content
 addressing keys on the *uncompressed* digest, so an unchanged payload is
 deduplicated before it is ever encoded), written through a dedicated
 :class:`~repro.aio.engine.AsyncIOEngine` (multi-part payloads fan out via

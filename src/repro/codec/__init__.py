@@ -5,7 +5,7 @@ and the FP16 working parameters) through a block codec as it drains them —
 overlapped with the next training iteration — and the restore path decodes
 them chunk by chunk through pooled scratch buffers, verifying per-chunk
 digests as it goes.  See :mod:`repro.codec.codecs` for the codecs (byte
-shuffle + LZ4-class DEFLATE, plus the null-codec ablation) and
+shuffle + run-length DEFLATE, plus the null-codec ablation) and
 :mod:`repro.codec.framing` for the self-describing chunked frame format.
 """
 

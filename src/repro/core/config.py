@@ -241,7 +241,7 @@ class MLPOffloadConfig:
     #: working copy) as the drain thread writes them: ``"raw"`` stores plain
     #: blobs (the pre-compression behaviour), ``"null"`` writes frames with
     #: identity chunks (the framing-cost ablation), ``"shuffle-deflate"``
-    #: byte-shuffles and block-compresses each chunk (the LZ4-class default).
+    #: byte-shuffles and run-length DEFLATEs each chunk (the default).
     #: Hard-linked tier-resident blobs are never re-encoded — they move zero
     #: bytes either way.  Content addressing keys on the *uncompressed*
     #: digest, so delta dedup is codec-independent.

@@ -181,6 +181,9 @@ class OffloadEngineBase:
         self._restore_reader: Optional[CheckpointReader] = None
         self._restore_verify = True
         self.backward_flush_seconds = 0.0
+        #: Calling-thread time spent in cache-eviction write-backs (the
+        #: update phase charges its share to ``flush_seconds``).
+        self._writeback_seconds = 0.0
         #: Async backward-phase gradient flushes in flight, by subgroup:
         #: the write futures plus the pooled FP32 payload to recycle.
         self._grad_flushes: Dict[int, Tuple[List["concurrent.futures.Future"], np.ndarray]] = {}
@@ -374,6 +377,7 @@ class OffloadEngineBase:
             self._drain_grad_flushes()
             stats.grad_drain_seconds = time.perf_counter() - drain_start
         io_before = self.tier.io_summary()
+        writeback_before = self._writeback_seconds
         retries_before, _, _ = self.tier.engine.retry_totals()
         failovers_before = self.tier.failover_count
 
@@ -413,19 +417,18 @@ class OffloadEngineBase:
             self._quiesce_io(pending, inflight_flushes)
             raise
 
-        # Account I/O performed through cache write-backs (evictions) and
-        # asynchronous flushes that the per-subgroup timers above did not see.
+        # Cache-eviction write-backs block this thread like a synchronous
+        # flush.  Their bytes, and those of asynchronous flushes, are
+        # counted from the tier's byte totals.  The I/O threads' summed
+        # write seconds are not a wait of this phase: they overlap each
+        # other and the compute, and can exceed the phase's wall time.
+        stats.flush_seconds += self._writeback_seconds - writeback_before
         io_after = self.tier.io_summary()
         extra_write_bytes = sum(t["bytes_written"] for t in io_after.values()) - sum(
             t["bytes_written"] for t in io_before.values()
         )
-        extra_write_seconds = sum(t["write_seconds"] for t in io_after.values()) - sum(
-            t["write_seconds"] for t in io_before.values()
-        )
         if extra_write_bytes > stats.flush_bytes:
             stats.flush_bytes = int(extra_write_bytes)
-        if extra_write_seconds > stats.flush_seconds:
-            stats.flush_seconds = extra_write_seconds
 
         retries_after, _, _ = self.tier.engine.retry_totals()
         stats.io_retries = int(retries_after - retries_before)
@@ -827,7 +830,9 @@ class OffloadEngineBase:
     def _writeback(self, subgroup_index: int, arrays: Mapping[str, np.ndarray]) -> None:
         """Cache-eviction callback: flush a dirty subgroup to its tier."""
         sg = self._by_index[subgroup_index]
+        start = time.perf_counter()
         self._flush_now(sg, arrays)
+        self._writeback_seconds += time.perf_counter() - start
 
     def _release_evicted(self, subgroup_index: int, arrays: Mapping[str, np.ndarray]) -> None:
         """Cache-departure callback: recycle pooled buffers that left the cache."""

@@ -262,8 +262,13 @@ class FileStore(BlobStore):
         self._write_seconds = 0.0
         self._sizes: Dict[str, int] = {}
         # Re-discover any pre-existing blobs (e.g. the store survived a restart).
+        # Another process sharing the directory may delete a blob between
+        # the glob and its stat; a vanished blob is simply not there.
         for path in self.root.glob("*.bin"):
-            self._sizes[path.stem] = path.stat().st_size
+            try:
+                self._sizes[path.stem] = path.stat().st_size
+            except FileNotFoundError:
+                continue
         self._sweep_stale_tmp()
 
     # -- helpers ---------------------------------------------------------

@@ -9,6 +9,8 @@ truncation or corruption of an encoded stream fails loudly with
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.codec import (
     encoded_frame,
     get_codec,
 )
+from repro.codec.codecs import ShuffleDeflateCodec, shuffle_chunk
 from repro.codec.framing import _chunk_size
 from repro.tiers.array_pool import ArrayPool
 from repro.tiers.file_store import payload_digest
@@ -45,6 +48,27 @@ def _sample(rng, dtype, n):
 
 def _raw_bytes(array):
     return np.ascontiguousarray(array).reshape(-1).view(np.uint8).tobytes()
+
+
+def _fp32_payload(rng, kind, n):
+    """FP32 optimizer-state shapes: Gaussian, exact zeros, FP16-quantized."""
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.float32)
+    values = rng.standard_normal(n).astype(np.float32) * 0.02
+    if kind == "fp16-quantized":
+        return values.astype(np.float16).astype(np.float32)
+    return values
+
+
+class _PlainDeflateCodec(ShuffleDeflateCodec):
+    """``shuffle-deflate`` as first written: byte-shuffle + ``zlib.compress(level=1)``.
+
+    Same codec name, so its frames are exactly what checkpoints written
+    before the run-length encoder hold.
+    """
+
+    def encode_chunk(self, chunk, itemsize, scratch):
+        return zlib.compress(shuffle_chunk(chunk, itemsize, scratch), 1)
 
 
 class TestRoundTrip:
@@ -91,13 +115,14 @@ class TestRoundTrip:
         assert np.array_equal(a, out)
         assert pool.outstanding_count == 0, "encode/decode stranded pooled scratch"
 
-    def test_encode_is_deterministic(self, rng):
+    @pytest.mark.parametrize("payload", ["normal", "zeros", "fp16-quantized"])
+    def test_encode_is_deterministic(self, payload, rng):
         """Identical raw bytes → identical streams (content-addressing relies on it)."""
-        a = _sample(rng, np.float32, 5000)
+        a = _fp32_payload(rng, payload, 5000)
         codec = get_codec("shuffle-deflate")
         first = encoded_frame(a, codec, chunk_bytes=CHUNK)
         second = encoded_frame(a.copy(), codec, chunk_bytes=CHUNK)
-        assert np.array_equal(first, second)
+        assert first.tobytes() == second.tobytes()
 
 
 class TestNullCodecAblation:
@@ -125,6 +150,85 @@ class TestNullCodecAblation:
         for array, floor in ((quantized, 1.8), (zeros, 20.0)):
             frame = encoded_frame(array, codec)
             assert array.nbytes / frame.nbytes > floor
+
+
+class TestPlainDeflateCompatibility:
+    """Frames of the plain level-1 encoder stay readable; the run-length
+    encoder is never larger on the payloads it exists for."""
+
+    @pytest.mark.parametrize("payload", ["normal", "zeros", "fp16-quantized"])
+    def test_plain_deflate_frame_decodes_bitwise(self, payload, rng):
+        a = _fp32_payload(rng, payload, 20_000)
+        old = encoded_frame(a, _PlainDeflateCodec(), chunk_bytes=CHUNK)
+        new = encoded_frame(a, get_codec("shuffle-deflate"), chunk_bytes=CHUNK)
+        assert old.tobytes() != new.tobytes(), "the two encoders must differ to test anything"
+        from_old, from_new = np.empty_like(a), np.empty_like(a)
+        old_digest = decode_frame_into(old, from_old)
+        assert old_digest == decode_frame_into(new, from_new)
+        assert old_digest == payload_digest(memoryview(a))
+        assert from_old.tobytes() == a.tobytes()
+        assert from_new.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("payload", ["zeros", "fp16-quantized"])
+    def test_run_length_frames_are_no_larger(self, payload, rng):
+        a = _fp32_payload(rng, payload, 1 << 18)  # one 1 MiB default chunk
+        old = encoded_frame(a, _PlainDeflateCodec())
+        new = encoded_frame(a, get_codec("shuffle-deflate"))
+        assert new.nbytes <= old.nbytes
+
+    def test_checkpoint_written_by_plain_deflate_restores_bitwise(
+        self, tmp_path, rng, monkeypatch
+    ):
+        from repro.core.config import MLPOffloadConfig, TierConfig
+        from repro.core.engine import MLPOffloadEngine
+        from repro.train.adam import AdamConfig
+        from repro.train.sharding import build_shard_layout, flat_views
+
+        total, subgroup = 4_000, 1_000
+        for name in ("nvme", "pfs"):
+            (tmp_path / name).mkdir()
+
+        def config():
+            return MLPOffloadConfig(
+                tiers=(
+                    TierConfig("nvme", str(tmp_path / "nvme"), read_bw=6.9e9, write_bw=5.3e9),
+                    TierConfig("pfs", str(tmp_path / "pfs"), read_bw=3.6e9, write_bw=3.6e9),
+                ),
+                subgroup_size=subgroup,
+                host_cache_bytes=2 * subgroup * 12,  # dirty residue gets staged
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                checkpoint_codec="shuffle-deflate",
+                adam=AdamConfig(lr=1e-3),
+            )
+
+        layout = build_shard_layout(total, num_ranks=1, subgroup_size=subgroup)
+        views = flat_views(None, layout, 0)
+        initial = rng.standard_normal(total).astype(np.float32)
+        plain_chunks = []
+
+        def plain_encode(self, chunk, itemsize, scratch):
+            plain_chunks.append(chunk.size)
+            return _PlainDeflateCodec.encode_chunk(self, chunk, itemsize, scratch)
+
+        monkeypatch.setattr(ShuffleDeflateCodec, "encode_chunk", plain_encode)
+        with MLPOffloadEngine(config(), layout, rank=0) as engine:
+            engine.initialize(initial.copy())
+            fp16 = initial.astype(np.float16)
+            for _ in range(2):
+                grad = rng.standard_normal(total).astype(np.float16)
+                for index, view in views.items():
+                    engine.on_backward_gradient(index, grad[view])
+                engine.on_microbatch_complete()
+                engine.run_update(fp16)
+            engine.save_checkpoint(fp16, wait=True)
+            master = engine.fetch_master_params()
+        monkeypatch.undo()
+        assert plain_chunks, "no staged payload went through the plain encoder"
+
+        with MLPOffloadEngine(config(), layout, rank=0) as resumed:
+            restored = resumed.restore_checkpoint()
+            assert restored.fp16_params.tobytes() == fp16.tobytes()
+            assert resumed.fetch_master_params().tobytes() == master.tobytes()
 
 
 class TestIntegrity:

@@ -1,5 +1,7 @@
 """Unit tests for the file-backed tier store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,26 @@ class TestRoundTrip:
         reopened = FileStore(tmp_path / "tier")
         assert reopened.used_bytes > 0
         np.testing.assert_array_equal(reopened.read("persisted"), np.ones(8, dtype=np.float32))
+
+    def test_rediscovery_skips_blob_deleted_after_glob(self, tmp_path, monkeypatch):
+        """A blob another process deletes between the scan's glob and its
+        stat is skipped, not raised as FileNotFoundError."""
+        store = FileStore(tmp_path / "tier")
+        store.write("gone", np.zeros(4, dtype=np.float32))
+        store.write("kept", np.ones(4, dtype=np.float32))
+        real_glob = Path.glob
+
+        def glob_then_delete(self, pattern):
+            paths = list(real_glob(self, pattern))
+            if pattern == "*.bin":
+                (self / "gone.bin").unlink()
+            return iter(paths)
+
+        monkeypatch.setattr(Path, "glob", glob_then_delete)
+        reopened = FileStore(tmp_path / "tier")
+        monkeypatch.undo()
+        assert list(reopened.keys()) == ["kept"]
+        np.testing.assert_array_equal(reopened.read("kept"), np.ones(4, dtype=np.float32))
 
 
 class TestFailureModes:
